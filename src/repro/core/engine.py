@@ -9,32 +9,17 @@ Wraps a :class:`repro.crypto.mac.LineMAC` with the PT-Guard specifics:
   bit-flips in the MAC itself (Section VI-C) at a quantified security cost
   (Section VI-E, see :mod:`repro.core.security`).
 
-A host-side **verify cache** (a bounded LRU keyed by line address,
-validated against the *masked* line content — exactly the bits the MAC
-covers) memoizes :meth:`MACEngine.compute`: the MAC is a pure function of
-``(masked line, address)``, so an entry stays usable across changes to
-unprotected bits (accessed-bit churn, MAC/identifier field rewrites) and
-is bypassed the moment any protected bit differs. The cache is a pure
-simulator-speed optimisation — ``computations`` (the simulated MAC-unit
-invocation count used for energy accounting) and every verification
-outcome are identical with the cache on or off. A Rowhammer flip in a
-protected bit changes the masked content, misses the memo, and is
-recomputed honestly; a flip confined to unprotected bits hits the memo
-and returns precisely the tag a fresh computation would — by definition
-of the masking, the same value.
-
-It is **disabled by default** (``PTGuardConfig.mac_verify_cache_entries
-= 0``) because the figure-6/7 timing sweeps use the ``pseudo`` backend,
-where a tag costs less than the memo bookkeeping. For the cryptographic
-backends (``qarma`` in particular) the batched execution core enables it
-and pre-warms it from the page-table snapshot after prefault
-(:meth:`MACEngine.warm`), moving the expensive tag computations out of
-the timed window in one vectorized pass (see ``BENCH_hotpath.json``).
+Every verification ticks ``computations`` (the simulated MAC-unit
+invocation count used for energy accounting) once. The batched execution
+core may prime *bulk-tag hints* (:meth:`MACEngine.prime_bulk_tags`) so
+that in-batch verifications take their tag from one vectorized pass
+instead of the scalar path; a hint is used only while the masked line
+content still matches, so it replaces host-side work and never a
+simulated outcome.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import NamedTuple
 
 from repro.common.bitops import hamming_distance
@@ -53,30 +38,18 @@ class VerifyResult(NamedTuple):
 
 
 class MACEngine:
-    """Computes/verifies PTE-line MACs for the memory controller.
-
-    ``verify_cache_entries`` bounds the host-side memo of computed tags
-    (0 disables it — e.g. for security experiments that want every MAC
-    recomputed). Hit/miss/invalidation counts are observable through
-    :attr:`stats`.
-    """
+    """Computes/verifies PTE-line MACs for the memory controller."""
 
     def __init__(
         self,
         line_mac: LineMAC,
         max_phys_bits: int,
         soft_match_k: int = 0,
-        verify_cache_entries: int = 0,
     ):
         self.line_mac = line_mac
         self.max_phys_bits = max_phys_bits
         self.soft_match_k = soft_match_k
         self.computations = 0  # MAC-unit invocations (for energy accounting)
-        self.verify_cache_entries = verify_cache_entries
-        # address -> (masked line bytes, tag); LRU in insertion order.
-        self._cache: "OrderedDict[int, tuple[bytes, int]] | None" = (
-            OrderedDict() if verify_cache_entries > 0 else None
-        )
         # Differential oracle (repro.faults.invariants): every
         # ``_oracle_period``-th fresh computation is recomputed through an
         # independent reference path and must agree bit-for-bit.
@@ -85,11 +58,10 @@ class MACEngine:
         self._oracle_countdown = 0
         # Bulk-tag hints (batched walk support): address -> (masked line
         # bytes, tag), primed through :meth:`prime_bulk_tags` by the
-        # batched execution core. Unlike the verify cache, a hint hit
-        # still counts a ``computations`` tick and still runs the oracle
-        # countdown — the hint replaces only the *host-side* scalar tag
-        # computation, never a simulated outcome, so it is legal with the
-        # verify cache disabled. ``bulk_hint_hits`` is a plain attribute
+        # batched execution core. A hint hit still counts a
+        # ``computations`` tick and still runs the oracle countdown — the
+        # hint replaces only the *host-side* scalar tag computation, never
+        # a simulated outcome. ``bulk_hint_hits`` is a plain attribute
         # (not a stats key) so ``stats`` stays identical batched vs
         # scalar.
         self._bulk_tags: "dict[int, tuple[bytes, int]] | None" = None
@@ -104,14 +76,6 @@ class MACEngine:
         """MAC over the protected bits of ``line``, bound to ``address``."""
         self.computations += 1
         masked = pattern.mask_unprotected(line, self.max_phys_bits)
-        cache = self._cache
-        if cache is not None:
-            entry = cache.get(address)
-            if entry is not None and entry[0] == masked:
-                self.stats.increment("verify_cache_hits")
-                cache.move_to_end(address)
-                return entry[1]
-            self.stats.increment("verify_cache_misses")
         tag = None
         bulk = self._bulk_tags
         if bulk is not None:
@@ -130,48 +94,7 @@ class MACEngine:
             if self._oracle_countdown <= 0:
                 self._oracle_countdown = self._oracle_period
                 self._check_oracle(masked, address, tag)
-        if cache is not None:
-            cache[address] = (masked, tag)
-            if len(cache) > self.verify_cache_entries:
-                cache.popitem(last=False)
         return tag
-
-    def warm(self, lines, addresses) -> int:
-        """Pre-seed the verify cache from a (lines, addresses) snapshot.
-
-        Host-side only: tags are computed through the batched MAC path
-        (when available) *without* touching ``computations`` or the
-        oracle countdown, so every simulated outcome — including the
-        energy-accounting counter — is exactly as if warming never
-        happened. The first in-window verification of a warmed line then
-        memo-hits instead of paying the (for qarma, ~100 us) scalar tag.
-        Returns the number of entries seeded; a no-op when the cache is
-        disabled.
-        """
-        cache = self._cache
-        if cache is None:
-            return 0
-        count = min(len(lines), self.verify_cache_entries)
-        lines = lines[:count]
-        addresses = addresses[:count]
-        if not count:
-            return 0
-        masked = [
-            pattern.mask_unprotected(line, self.max_phys_bits) for line in lines
-        ]
-        compute_batch = getattr(self.line_mac, "compute_batch", None)
-        if compute_batch is not None:
-            tags = compute_batch(masked, addresses)
-        else:
-            tags = [
-                self.line_mac.compute(m, a) for m, a in zip(masked, addresses)
-            ]
-        for m, a, t in zip(masked, addresses, tags):
-            cache[a] = (m, t)
-        while len(cache) > self.verify_cache_entries:
-            cache.popitem(last=False)
-        self.stats.increment("verify_cache_warmed", count)
-        return count
 
     def prime_bulk_tags(self, lines, addresses) -> int:
         """Pre-compute tag hints for ``addresses`` in one vectorized pass.
@@ -241,20 +164,10 @@ class MACEngine:
             )
 
     def invalidate_cached(self, address: int) -> None:
-        """Drop the memoized tag for ``address`` (stored contents changed)."""
-        cache = self._cache
-        if cache is not None and cache.pop(address, None) is not None:
-            self.stats.increment("verify_cache_invalidations")
+        """Drop the bulk-tag hint for ``address`` (stored contents changed)."""
         bulk = self._bulk_tags
         if bulk is not None:
             bulk.pop(address, None)
-
-    def clear_cache(self) -> None:
-        """Drop every memoized tag (key rotation, experiment boundaries)."""
-        if self._cache is not None:
-            self._cache.clear()
-        if self._bulk_tags is not None:
-            self._bulk_tags.clear()
 
     def compute_zero_mac(self) -> int:
         """The pre-computed MAC of an all-zero line *without* address binding.

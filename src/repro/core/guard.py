@@ -83,7 +83,6 @@ class PTGuard:
             make_line_mac(mac_algorithm, self._secret, config.mac_bits, epoch=0),
             max_phys_bits=config.max_phys_bits,
             soft_match_k=config.soft_match_k,
-            verify_cache_entries=config.mac_verify_cache_entries,
         )
         self.ctb = CollisionTrackingBuffer(config.ctb_entries)
         # The 56-bit identifier is a random value fixed at boot (Sec V-A).
@@ -115,7 +114,7 @@ class PTGuard:
         """Transform a line leaving the memory controller for DRAM."""
         self.stats.increment("writes")
         # The stored contents of this address are about to change: drop any
-        # memoized tag so later reads re-validate against the new bytes.
+        # bulk-tag hint so later reads re-validate against the new bytes.
         self.engine.invalidate_cached(address)
         extended = self.config.identifier_enabled
 
@@ -350,16 +349,6 @@ class PTGuard:
             return pattern.strip_metadata(stored_line)
         return pattern.strip_mac(stored_line)
 
-    def warm_verify_cache(self, lines, addresses) -> int:
-        """Pre-seed the engine's verify cache from a memory snapshot.
-
-        Host-side only (see :meth:`MACEngine.warm`): no simulated counter
-        moves. Callers pass the current stored bytes of PTE lines (e.g.
-        the page-table pages right after prefault) with their physical
-        line addresses. Returns the number of entries seeded.
-        """
-        return self.engine.warm(lines, addresses)
-
     # -- re-keying (Sec VII-B) -------------------------------------------------
 
     def rekey(self) -> None:
@@ -371,15 +360,14 @@ class PTGuard:
         """
         self._epoch += 1
         self.stats.increment("rekeys")
-        # A fresh engine also starts a fresh (empty) verify cache: tags
-        # memoized under the previous key epoch can never be served again.
+        # A fresh engine also starts with no bulk-tag hints: tags computed
+        # under the previous key epoch can never be served again.
         self.engine = MACEngine(
             make_line_mac(
                 self.mac_algorithm, self._secret, self.config.mac_bits, epoch=self._epoch
             ),
             max_phys_bits=self.config.max_phys_bits,
             soft_match_k=self.config.soft_match_k,
-            verify_cache_entries=self.config.mac_verify_cache_entries,
         )
         self._mac_zero = (
             self.engine.compute_zero_mac() if self.config.mac_zero_enabled else None

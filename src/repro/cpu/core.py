@@ -114,15 +114,11 @@ class InOrderCore:
     def run(self, trace: TraceGenerator, mem_ops: int, warmup_ops: int = 0) -> CoreResult:
         """Execute ``warmup_ops`` untimed then ``mem_ops`` timed accesses.
 
-        When the MAC verify cache is enabled, the first call pre-warms it
-        from the page-table snapshot (in *both* execution modes, so
-        batched and scalar runs stay stat-identical). Records are then
-        replayed through the fused batch loop
+        Records are replayed through the fused batch loop
         (:mod:`repro.cpu.batch_core`) unless ``REPRO_BATCH`` selects the
         scalar reference loop (or numpy is unavailable) — the two paths
         produce bit-identical results.
         """
-        self._warm_mac_memo()
         batch = batch_size()
         if batch > 1 and _batch_core is not None:
             return _batch_core.run_batched(self, trace, mem_ops, warmup_ops, batch)
@@ -140,38 +136,6 @@ class InOrderCore:
             execute(virtual_address, is_write, timed=True)
         self.mem_ops += mem_ops
         return self._result(start_cycles, start_instructions)
-
-    def _warm_mac_memo(self) -> None:
-        """Seed PT-Guard's MAC verify cache from the live page tables.
-
-        Host-side speed only (see :meth:`repro.core.engine.MACEngine.warm`):
-        no simulated counter or outcome changes. Runs when the memo is
-        enabled and currently empty — i.e. once per core (or again after a
-        re-key replaces the engine) — and reads the table lines straight
-        from backing DRAM, never through the controller, so no simulated
-        traffic is generated.
-        """
-        controller = self.hierarchy.controller
-        guard = getattr(controller, "ptguard", None)
-        dram = getattr(controller, "dram", None)
-        if guard is None or dram is None:
-            return
-        engine = guard.engine
-        limit = engine.verify_cache_entries
-        if not limit or engine._cache:
-            return
-        lines_per_page = PAGE_BYTES // CACHELINE_BYTES
-        addresses = []
-        for pfn in self.process.page_table.table_pfns:
-            base = pfn * PAGE_BYTES
-            addresses.extend(
-                base + CACHELINE_BYTES * i for i in range(lines_per_page)
-            )
-            if len(addresses) >= limit:
-                addresses = addresses[:limit]
-                break
-        read_line = dram.read_line
-        guard.warm_verify_cache([read_line(a) for a in addresses], addresses)
 
     def _reset_window(self) -> tuple[int, int]:
         self._window_stats = {

@@ -167,8 +167,9 @@ class SipHashLineMAC:
 class Blake2LineMAC:
     """Keyed BLAKE2b line MAC — the fast default for large simulations.
 
-    BLAKE2b runs in C via :mod:`hashlib`, ~3 orders of magnitude faster
-    than our pure-Python QARMA. Tag distribution and tamper-detection
+    BLAKE2b runs in C via :mod:`hashlib`: about 469k MACs/s, against
+    QARMA's 72-92k/s through ``compute_batch`` and 5.7k/s scalar (2-CPU
+    host, Python 3.11, numpy 2.4). Tag distribution and tamper-detection
     properties are equivalent for simulation purposes; the paper's actual
     hardware primitive (QARMA-128) remains available via
     :class:`QarmaLineMAC` and is selected with ``algorithm="qarma"``.

@@ -2,9 +2,9 @@
 
 Public surface:
 
-* :class:`FabricService` / :class:`AsyncFabricService` — submit_sweep /
-  status / results / cancel / health / ready over the pluggable
-  executor backends, with typed admission control.
+* :class:`FabricService` — submit_sweep / status / results / cancel /
+  health / ready over the pluggable executor backends, with typed
+  admission control.
 * :class:`ServiceConfig` — operator knobs (queue depth, per-tenant
   rates, breaker thresholds, primary backend, degraded-fallback mode).
 * :func:`tenant_cache` / :func:`validate_tenant` — per-tenant
@@ -35,7 +35,6 @@ from repro.service.chaos import (
     killed_policy,
 )
 from repro.service.core import (
-    AsyncFabricService,
     FabricService,
     ReadyProbe,
     ServiceConfig,
@@ -53,7 +52,6 @@ from repro.service.wal import ReplayResult, StateLog, replay_bytes
 
 __all__ = [
     "AdmissionQueue",
-    "AsyncFabricService",
     "CircuitBreaker",
     "CrashingCache",
     "DEFAULT_TENANT",

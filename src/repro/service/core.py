@@ -958,53 +958,3 @@ class FabricService:
                     for name, recorder in self.latency.items()
                 },
             }
-
-
-class AsyncFabricService:
-    """Thin asyncio facade over :class:`FabricService`.
-
-    The service's own concurrency lives in plain threads (dispatchers,
-    the blocking fabric); this wrapper exposes the client API as
-    coroutines via ``asyncio.to_thread`` so an async caller (or a future
-    HTTP front end) never blocks its event loop. One wrapper per
-    service; construct with an existing service or the same arguments.
-    """
-
-    def __init__(self, service: Optional[FabricService] = None, **kwargs: Any):
-        self.service = service if service is not None else FabricService(**kwargs)
-
-    async def submit_sweep(self, *args: Any, **kwargs: Any) -> str:
-        import asyncio
-
-        return await asyncio.to_thread(self.service.submit_sweep, *args, **kwargs)
-
-    async def status(self, ticket: str) -> Dict[str, Any]:
-        import asyncio
-
-        return await asyncio.to_thread(self.service.status, ticket)
-
-    async def results(self, ticket: str, timeout: Optional[float] = None) -> Any:
-        import asyncio
-
-        return await asyncio.to_thread(self.service.results, ticket, timeout)
-
-    async def cancel(self, ticket: str) -> bool:
-        import asyncio
-
-        return await asyncio.to_thread(self.service.cancel, ticket)
-
-    async def health(self) -> Dict[str, Any]:
-        import asyncio
-
-        return await asyncio.to_thread(self.service.health)
-
-    async def close(self) -> None:
-        import asyncio
-
-        await asyncio.to_thread(self.service.close)
-
-    async def __aenter__(self) -> "AsyncFabricService":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()

@@ -12,7 +12,6 @@ runtime invariants and recovery through the batched core.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -218,13 +217,11 @@ class TestVectorTraceReplay:
 # -- fused batch execution core ----------------------------------------------
 
 
-def _core_snapshot(batch, mac, workload, mem_ops, warmup, verify_cache_entries=1024):
+def _core_snapshot(batch, mac, workload, mem_ops, warmup):
     with _batch_env(batch):
-        config = replace(
-            optimized_ptguard_config(),
-            mac_verify_cache_entries=verify_cache_entries,
+        system = build_system(
+            ptguard=optimized_ptguard_config(), mac_algorithm=mac, seed=2023
         )
-        system = build_system(ptguard=config, mac_algorithm=mac, seed=2023)
         process, trace = system.workload_process(
             get_workload(workload), seed=11
         )
@@ -266,17 +263,12 @@ class TestBatchedCore:
         assert batched == scalar
 
     @needs_numpy
-    def test_qarma_bulk_hints_no_verify_cache_matches_scalar(self):
-        # With the verify cache disabled, mid-batch PTE-line MAC checks
-        # resolve through the bulk-tag hints primed by the batched core;
-        # every counter (including ``computations``) must still match the
-        # scalar walker exactly.
-        scalar = _core_snapshot(
-            1, "qarma", "xalancbmk", 400, 60, verify_cache_entries=0
-        )
-        batched = _core_snapshot(
-            4096, "qarma", "xalancbmk", 400, 60, verify_cache_entries=0
-        )
+    def test_qarma_bulk_hints_match_scalar(self):
+        # Mid-batch PTE-line MAC checks resolve through the bulk-tag hints
+        # primed by the batched core; every counter (including
+        # ``computations``) must still match the scalar walker exactly.
+        scalar = _core_snapshot(1, "qarma", "xalancbmk", 400, 60)
+        batched = _core_snapshot(4096, "qarma", "xalancbmk", 400, 60)
         assert batched == scalar
 
     @needs_numpy

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import pathlib
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -42,8 +41,9 @@ def _isolated_snapshots(tmp_path, monkeypatch):
 
 
 def _boot(mac: str, seed: int = 5):
-    config = replace(optimized_ptguard_config(), mac_verify_cache_entries=64)
-    system = build_system(ptguard=config, mac_algorithm=mac, seed=seed)
+    system = build_system(
+        ptguard=optimized_ptguard_config(), mac_algorithm=mac, seed=seed
+    )
     process, _trace = system.workload_process(get_workload("povray"), seed=seed)
     return system, process.pid
 
@@ -60,7 +60,6 @@ def _machine_state(system):
         "epoch": system.guard.epoch if system.guard else None,
         "computations": engine.computations if engine else None,
         "engine_stats": engine.stats.as_dict() if engine else None,
-        "mac_memo": dict(engine._cache) if engine and engine._cache is not None else None,
     }
 
 

@@ -102,6 +102,26 @@ class TestReadPTEPath:
                 outcome = guard.process_read(ADDRESS, bytes(tampered), is_pte=True)
                 assert outcome.pte_check_failed
 
+    def test_rewritten_line_verifies_and_tampered_rewrite_fails(self, guard):
+        """A rewrite replaces the tag: the new contents verify, and a
+        tampered copy of them fails (no tag of the old contents leaks)."""
+        first = guard.process_write(ADDRESS, pte_line(0x100)).stored_line
+        assert guard.process_read(ADDRESS, first, is_pte=True).mac_matched
+        second = guard.process_write(ADDRESS, pte_line(0x200)).stored_line
+        assert second != first
+        assert guard.process_read(ADDRESS, second, is_pte=True).mac_matched
+        tampered = bytes([second[0] ^ 0x10]) + second[1:]
+        assert not guard.process_read(ADDRESS, tampered, is_pte=True).mac_matched
+
+    def test_computations_count_every_verification(self, guard):
+        """``computations`` (Sec V-E energy accounting) ticks once per
+        verification, including repeats of an unchanged line."""
+        stored = guard.process_write(ADDRESS, pte_line()).stored_line
+        before = guard.engine.computations
+        for _ in range(10):
+            guard.process_read(ADDRESS, stored, is_pte=True)
+        assert guard.engine.computations == before + 10
+
     def test_wrong_address_detected(self, guard):
         """The MAC binds the line to its physical address: a relocated
         copy (ditto attack) fails verification."""

@@ -18,6 +18,7 @@ from repro.harness.parallel import (
     ResultCache,
     SimJob,
     SweepJournal,
+    journal_flush_interval,
     register_job_kind,
     run_jobs,
     sweep_id,
@@ -137,6 +138,17 @@ class TestFlushBoundaries:
         # the journal itself is complete regardless of fsync batching.
         replay = JournalTail(path)
         assert replay.poll() == tail.records
+
+    def test_unparsable_flush_interval_warns_and_falls_back(
+        self, monkeypatch, caplog
+    ):
+        monkeypatch.setenv("REPRO_JOURNAL_FLUSH", "often")
+        with caplog.at_level("WARNING", logger="repro.harness.parallel"):
+            assert journal_flush_interval(default=7) == 7
+        warnings = [
+            r for r in caplog.records if "REPRO_JOURNAL_FLUSH" in r.message
+        ]
+        assert len(warnings) == 1 and "'often'" in warnings[0].message
 
     def test_mid_sweep_polls_grow_monotonically(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_JOURNAL_FLUSH", "3")

@@ -1,13 +1,8 @@
-"""Equivalence guards for the hot-path optimisations.
+"""Equivalence guards for the table-driven QARMA hot path.
 
-Two refactors trade implementation for speed while claiming bit-exact
-behaviour; these tests pin the claim down:
-
-* the table-driven QARMA path must agree with the cell-by-cell reference
-  path on every block, for both widths and both directions;
-* the MAC verify cache must be outcome-invisible: every guard result is
-  identical with the cache on or off, across write invalidations and key
-  rotations.
+The table-driven QARMA path trades implementation for speed while
+claiming bit-exact behaviour: it must agree with the cell-by-cell
+reference path on every block, for both widths and both directions.
 """
 
 from __future__ import annotations
@@ -16,11 +11,7 @@ import random
 
 import pytest
 
-from repro.common.config import PTGuardConfig
-from repro.core.guard import PTGuard
-from repro.core.pattern import join_ptes
 from repro.crypto.qarma import Qarma, Qarma64, Qarma128
-from repro.mmu.pte import make_x86_pte
 
 TRIALS = 48
 
@@ -77,111 +68,3 @@ def test_reduced_round_variants_agree():
         block, tweak = rng.getrandbits(128), rng.getrandbits(128)
         assert cipher.encrypt(block, tweak) == cipher.encrypt_reference(block, tweak)
 
-
-# -- MAC verify cache equivalence ---------------------------------------------
-
-
-def _pte_line(base_pfn: int) -> bytes:
-    return join_ptes([make_x86_pte(base_pfn + i) for i in range(8)])
-
-
-def _guard_pair(mac_algorithm: str = "blake2") -> tuple[PTGuard, PTGuard]:
-    cached = PTGuard(
-        PTGuardConfig(mac_verify_cache_entries=64), mac_algorithm=mac_algorithm
-    )
-    uncached = PTGuard(
-        PTGuardConfig(mac_verify_cache_entries=0), mac_algorithm=mac_algorithm
-    )
-    return cached, uncached
-
-
-def test_verify_cache_identical_outcomes_read_write():
-    """Same write/read/overwrite sequence, cache on vs off: same outcomes."""
-    cached, uncached = _guard_pair()
-    rng = random.Random(5)
-    lines = {addr: _pte_line(0x1000 + 8 * i) for i, addr in
-             enumerate(range(0x40000, 0x40000 + 64 * 16, 64))}
-    stored: dict[int, bytes] = {}
-    for step in range(400):
-        address = rng.choice(list(lines))
-        if rng.random() < 0.3:  # overwrite: must invalidate the memo
-            line = _pte_line(0x9000 + step * 8)
-            out_c = cached.process_write(address, line)
-            out_u = uncached.process_write(address, line)
-            assert out_c == out_u
-            stored[address] = out_c.stored_line
-        elif address in stored:
-            out_c = cached.process_read(address, stored[address], True)
-            out_u = uncached.process_read(address, stored[address], True)
-            assert out_c == out_u
-            assert out_c.mac_matched
-        else:
-            line = lines[address]
-            out_c = cached.process_write(address, line)
-            out_u = uncached.process_write(address, line)
-            assert out_c == out_u
-            stored[address] = out_c.stored_line
-    # The cache actually engaged (otherwise this test proves nothing).
-    assert cached.engine.stats.get("verify_cache_hits") > 0
-    assert uncached.engine.stats.get("verify_cache_hits") == 0
-
-
-def test_verify_cache_invalidated_on_write():
-    """A rewrite of the same address never serves the stale memoized tag."""
-    cached, uncached = _guard_pair()
-    address = 0x8000
-    first_c = cached.process_write(address, _pte_line(0x100)).stored_line
-    first_u = uncached.process_write(address, _pte_line(0x100)).stored_line
-    assert cached.process_read(address, first_c, True).mac_matched
-    assert cached.process_read(address, first_c, True).mac_matched  # memo hit
-    assert cached.engine.stats.get("verify_cache_hits") > 0
-    second_c = cached.process_write(address, _pte_line(0x200)).stored_line
-    second_u = uncached.process_write(address, _pte_line(0x200)).stored_line
-    assert second_c == second_u != first_c
-    assert cached.engine.stats.get("verify_cache_invalidations") > 0
-    # New contents verify correctly; a tampered new line fails identically
-    # with the memo populated (it must miss on the changed bytes) or absent.
-    assert cached.process_read(address, second_c, True).mac_matched
-    tampered = bytes([second_c[0] ^ 0x10]) + second_c[1:]
-    out_c = cached.process_read(address, tampered, True)
-    out_u = uncached.process_read(address, tampered, True)
-    assert out_c == out_u
-    assert not out_c.mac_matched
-    # The pre-rewrite stored line is self-consistent (its own MAC still
-    # embeds), so both guards agree it verifies — what matters is equality.
-    assert cached.process_read(address, first_c, True) == uncached.process_read(
-        address, first_u, True
-    )
-
-
-def test_verify_cache_cleared_on_rekey():
-    """After rekey() no pre-rotation tag can ever be served again."""
-    cached, uncached = _guard_pair()
-    address = 0x8000
-    line = _pte_line(0x300)
-    old_c = cached.process_write(address, line).stored_line
-    old_u = uncached.process_write(address, line).stored_line
-    assert cached.process_read(address, old_c, True).mac_matched
-    cached.rekey()
-    uncached.rekey()
-    # Old stored line fails identically under the new key, cache on or off.
-    out_c = cached.process_read(address, old_c, True)
-    out_u = uncached.process_read(address, old_u, True)
-    assert out_c == out_u
-    assert not out_c.mac_matched
-    new_c = cached.process_write(address, line).stored_line
-    new_u = uncached.process_write(address, line).stored_line
-    assert new_c == new_u
-    assert cached.process_read(address, new_c, True).mac_matched
-
-
-def test_verify_cache_simulated_computations_identical():
-    """``computations`` (energy accounting) ignores the host-side memo."""
-    cached, uncached = _guard_pair()
-    address, line = 0x8000, _pte_line(0x400)
-    stored_c = cached.process_write(address, line).stored_line
-    stored_u = uncached.process_write(address, line).stored_line
-    for _ in range(10):
-        cached.process_read(address, stored_c, True)
-        uncached.process_read(address, stored_u, True)
-    assert cached.engine.computations == uncached.engine.computations

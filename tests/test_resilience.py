@@ -14,6 +14,12 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -158,6 +164,79 @@ class TestGracefulDegradation:
             run_jobs(DOUBLES, workers=2, policy=policy)
 
 
+# -- parent death ---------------------------------------------------------------
+
+# A sweep of slow cells over two pool workers; every cell records the pid
+# of the worker that ran it, so the test knows whom to look for.
+_ORPHAN_SWEEP = textwrap.dedent(
+    """
+    import os, sys, time
+    from repro.harness.parallel import SimJob, register_job_kind, run_jobs
+
+    def nap(params):
+        with open(params["log"], "a") as log:
+            log.write(f"{os.getpid()}\\n")
+        time.sleep(0.2)
+        return params["i"]
+
+    register_job_kind("orphan_nap", nap)
+    jobs = [SimJob("orphan_nap", {"i": i, "log": sys.argv[1]}) for i in range(300)]
+    run_jobs(jobs, workers=2, backend="process-pool")
+    """
+)
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="needs /proc to inspect workers"
+)
+class TestParentDeath:
+    def test_workers_exit_after_parent_is_sigkilled(self, tmp_path):
+        log = tmp_path / "pids.log"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(parallel.__file__).parents[2])
+        for key in ("REPRO_START_METHOD", "REPRO_CHAOS", "REPRO_BACKEND"):
+            env.pop(key, None)
+        sweep = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SWEEP, str(log)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            pids: set = set()
+            while len(pids) < 2:
+                assert sweep.poll() is None, "sweep ended before it was killed"
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+                if log.exists():
+                    pids = {int(line) for line in log.read_text().split()}
+            os.kill(sweep.pid, signal.SIGKILL)
+        finally:
+            if sweep.poll() is None:
+                sweep.kill()
+            sweep.wait(timeout=30)
+        assert sweep.returncode == -signal.SIGKILL
+
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = sorted(pid for pid in pids if _running(pid))
+        for pid in survivors:  # never leak them past the test
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"pool workers {survivors} outlived their parent"
+
+
 # -- start-method pinning -----------------------------------------------------
 
 
@@ -221,6 +300,14 @@ class TestRegistryAndEnv:
         assert default_workers() == 5
         monkeypatch.setenv("REPRO_WORKERS", "")
         assert default_workers() == 5
+
+    def test_unparsable_workers_env_warns(self, monkeypatch, caplog):
+        monkeypatch.setenv("REPRO_WORKERS", "nope")
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        with caplog.at_level("WARNING", logger="repro.harness.parallel"):
+            assert default_workers() == 3
+        warnings = [r for r in caplog.records if "REPRO_WORKERS" in r.message]
+        assert len(warnings) == 1 and "'nope'" in warnings[0].message
 
     def test_policy_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMEOUT", "12.5")

@@ -14,7 +14,6 @@ for determinism — thread-mode coverage lives in one dedicated test.
 
 from __future__ import annotations
 
-import asyncio
 import json
 
 import pytest
@@ -28,7 +27,6 @@ from repro.common.errors import (
 )
 from repro.harness.parallel import BACKENDS, SimJob, register_job_kind, run_jobs
 from repro.service import (
-    AsyncFabricService,
     FabricService,
     ServiceChaosPolicy,
     ServiceConfig,
@@ -526,25 +524,6 @@ class TestProbesAndThreads:
                 )
         finally:
             service.close()
-
-    def test_async_facade_round_trip(self, tmp_path):
-        async def scenario():
-            async with AsyncFabricService(
-                cache_root=tmp_path,
-                config=ServiceConfig(
-                    queue_depth=4, dispatchers=1, backend="threaded", workers=2
-                ),
-            ) as service:
-                ticket = await service.submit_sweep(
-                    jobs=_jobs(3), tenant="alice"
-                )
-                results = await service.results(ticket, timeout=30)
-                health = await service.health()
-                return results, health
-
-        results, health = asyncio.run(scenario())
-        assert results == run_jobs(_jobs(3))
-        assert health["counters"]["completed"] == 1
 
 
 # -- the acceptance scenario --------------------------------------------------
