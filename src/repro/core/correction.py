@@ -25,6 +25,8 @@ Guess schedule (Sec VI-D), ``G_max = 372``:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, List, Optional, Tuple
 
 from repro.common.bitops import mask, popcount
@@ -83,20 +85,26 @@ class CorrectionEngine:
         # there are corrected outright, before any guessing (Sec VI intro).
         if self.identifier is not None:
             stored_line = pattern.embed_identifier(stored_line, self.identifier)
-        stored_mac = pattern.extract_mac(stored_line)
+        # A narrower MAC leaves the upper stored bits unused; flips there
+        # must not count against the soft-match budget (as in the guard).
+        stored_mac = pattern.extract_mac(stored_line) & mask(self.engine.mac_bits)
 
+        # Each stage's guesses are checked in one batch; the first match
+        # within the first matching stage wins, exactly as guess by guess.
         guesses = 0
-        for step, candidate in self._candidates(stored_line):
-            guesses += 1
-            result = self.engine.verify(candidate, address, stored_mac, soft=True)
-            if result.ok:
-                corrected = self._refresh_mac(candidate, address)
-                return CorrectionResult(
-                    corrected_line=corrected,
-                    guesses_used=guesses,
-                    winning_step=step,
-                    mac_distance=result.distance,
-                )
+        for step, stage in groupby(self._candidates(stored_line), key=itemgetter(0)):
+            candidates = [candidate for _, candidate in stage]
+            match = self.engine.first_soft_match(candidates, address, stored_mac)
+            if match is None:
+                guesses += len(candidates)
+                continue
+            index, distance = match
+            return CorrectionResult(
+                corrected_line=self._refresh_mac(candidates[index], address),
+                guesses_used=guesses + index + 1,
+                winning_step=step,
+                mac_distance=distance,
+            )
         return CorrectionResult(
             corrected_line=None,
             guesses_used=guesses,
@@ -115,11 +123,11 @@ class CorrectionEngine:
 
         # Step 2: flip and check every protected bit of every PTE.
         ptes = pattern.split_ptes(line)
+        value = int.from_bytes(line, "little")
         for index in range(len(ptes)):
             for bit_position in positions:
-                flipped = list(ptes)
-                flipped[index] ^= 1 << bit_position
-                yield "flip_and_check", pattern.join_ptes(flipped)
+                flipped = value ^ (1 << (64 * index + bit_position))
+                yield "flip_and_check", flipped.to_bytes(len(line), "little")
 
         # Step 3: reset almost-zero PTEs; subsequent steps inherit this base.
         base = self._reset_almost_zero(ptes)

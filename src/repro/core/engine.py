@@ -9,18 +9,22 @@ Wraps a :class:`repro.crypto.mac.LineMAC` with the PT-Guard specifics:
   bit-flips in the MAC itself (Section VI-C) at a quantified security cost
   (Section VI-E, see :mod:`repro.core.security`).
 
-Every verification ticks ``computations`` (the simulated MAC-unit
-invocation count used for energy accounting) once. The batched execution
-core may prime *bulk-tag hints* (:meth:`MACEngine.prime_bulk_tags`) so
-that in-batch verifications take their tag from one vectorized pass
-instead of the scalar path; a hint is used only while the masked line
-content still matches, so it replaces host-side work and never a
-simulated outcome.
+``computations`` is the simulated MAC-unit invocation count used for
+energy accounting (Sec V-E). It counts *logical* MAC computations: each
+verification, and each correction guess up to and including the accepted
+one. Tags the host computes past the accepted guess of a batched
+correction stage (:meth:`MACEngine.first_soft_match`) are not counted,
+since the simulated hardware stops at the first match. The batched
+execution core may prime *bulk-tag hints*
+(:meth:`MACEngine.prime_bulk_tags`) so that in-batch verifications take
+their tag from one vectorized pass instead of the scalar path; a hint is
+used only while the masked line content still matches, so it replaces
+host-side work and never a simulated outcome.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.common.bitops import hamming_distance
 from repro.common.errors import InvariantViolation
@@ -90,11 +94,39 @@ class MACEngine:
         if tag is None:
             tag = self.line_mac.compute(masked, address)
         if self._oracle is not None:
-            self._oracle_countdown -= 1
-            if self._oracle_countdown <= 0:
-                self._oracle_countdown = self._oracle_period
-                self._check_oracle(masked, address, tag)
+            self._tick_oracle(masked, address, tag)
         return tag
+
+    def first_soft_match(
+        self, lines, address: int, stored_mac: int
+    ) -> Optional[Tuple[int, int]]:
+        """Check candidate ``lines`` for ``address`` in one pass, in order.
+
+        Returns ``(index, distance)`` of the first candidate whose tag lies
+        within ``soft_match_k`` of ``stored_mac``, or ``None``. Outcomes
+        and accounting equal a loop of ``verify(line, address, stored_mac,
+        soft=True)`` that stops at the first match: ``computations`` and
+        the oracle countdown advance once per candidate up to and
+        including the accepted one. All tags come from one
+        ``compute_batch`` pass when the MAC has it.
+        """
+        max_phys_bits = self.max_phys_bits
+        masked = [pattern.mask_unprotected(line, max_phys_bits) for line in lines]
+        compute_batch = getattr(self.line_mac, "compute_batch", None)
+        if compute_batch is not None:
+            tags = compute_batch(masked, [address] * len(masked))
+        else:
+            compute = self.line_mac.compute
+            tags = [compute(line, address) for line in masked]
+        limit = self.soft_match_k
+        for index, tag in enumerate(tags):
+            self.computations += 1
+            if self._oracle is not None:
+                self._tick_oracle(masked[index], address, tag)
+            distance = hamming_distance(tag, stored_mac)
+            if distance <= limit:
+                return index, distance
+        return None
 
     def prime_bulk_tags(self, lines, addresses) -> int:
         """Pre-compute tag hints for ``addresses`` in one vectorized pass.
@@ -152,6 +184,12 @@ class MACEngine:
         self._oracle = None
         self._oracle_period = 0
         self._oracle_countdown = 0
+
+    def _tick_oracle(self, masked: bytes, address: int, tag: int) -> None:
+        self._oracle_countdown -= 1
+        if self._oracle_countdown <= 0:
+            self._oracle_countdown = self._oracle_period
+            self._check_oracle(masked, address, tag)
 
     def _check_oracle(self, masked: bytes, address: int, tag: int) -> None:
         expected = self._oracle(masked, address)

@@ -3,25 +3,34 @@
 Derandomized hypothesis property tests (same discipline as
 ``test_property_roundtrips.py``: the example sequence is a pure function
 of the test code, so CI runs are byte-for-byte repeatable) covering the
-three vectorized layers — batched QARMA MACs, the vectorized trace-RNG
-replay, and the fused batch execution core — plus a chaos+validate
-fault-injection campaign regression that pushes fault injection,
-runtime invariants and recovery through the batched core.
+vectorized layers — batched QARMA MACs, the stage-batched correction
+search, the vectorized trace-RNG replay, and the fused batch execution
+core — plus a chaos+validate fault-injection campaign regression that
+pushes fault injection, runtime invariants and recovery through the
+batched core.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import optimized_ptguard_config
+from repro.analysis.correction_eval import walked_pte_lines, workload_process
+from repro.common.config import PTGuardConfig, optimized_ptguard_config
+from repro.core import pattern
+from repro.core.correction import CorrectionResult
+from repro.core.guard import PTGuard
 from repro.cpu.trace import TraceGenerator
 from repro.cpu.trace_vector import HAVE_NUMPY, VectorTraceReplayer
 from repro.cpu.workloads import WORKLOADS, get_workload
 from repro.crypto.mac import make_line_mac
+from repro.crypto.qarma_batch import CHUNK_BLOCKS
+from repro.dram.rowhammer import inject_uniform_flips
 from repro.harness.system import build_system
 
 DERANDOMIZED = settings(derandomize=True, max_examples=200, deadline=None)
@@ -88,6 +97,124 @@ class TestQarmaBatch:
     @needs_numpy
     def test_empty_batch(self):
         assert list(_QARMA.compute_batch([], [])) == []
+
+    @needs_numpy
+    def test_batch_spanning_cipher_chunks_matches_scalar(self):
+        """More blocks than one gather pass holds (4 per line)."""
+        rng = random.Random(5)
+        count = CHUNK_BLOCKS // 4 + 7
+        lines = [rng.randbytes(64) for _ in range(count)]
+        addresses = [rng.randrange(1 << 34) * 64 for _ in range(count)]
+        assert _QARMA.compute_batch(lines, addresses) == [
+            _QARMA.compute(line, address)
+            for line, address in zip(lines, addresses)
+        ]
+
+
+# -- batched correction search ------------------------------------------------
+
+
+def _reference_correct(correction, stored_line, address):
+    """The correction search guess by guess: one ``verify`` per candidate
+    of ``CorrectionEngine._candidates``, stopping at the first soft match.
+    Kept as the reference for the stage-batched ``correct``."""
+    engine = correction.engine
+    if correction.identifier is not None:
+        stored_line = pattern.embed_identifier(stored_line, correction.identifier)
+    stored_mac = pattern.extract_mac(stored_line) & ((1 << engine.mac_bits) - 1)
+    guesses = 0
+    for step, candidate in correction._candidates(stored_line):
+        guesses += 1
+        result = engine.verify(candidate, address, stored_mac, soft=True)
+        if result.ok:
+            return CorrectionResult(
+                corrected_line=correction._refresh_mac(candidate, address),
+                guesses_used=guesses,
+                winning_step=step,
+                mac_distance=result.distance,
+            )
+    return CorrectionResult(None, guesses, None, -1)
+
+
+@pytest.fixture(scope="module")
+def walked_logical_lines():
+    """(address, line without metadata) of walked PTE lines on a real
+    machine, plus two lines at unwalked addresses with no non-zero PTE."""
+    system = build_system(
+        ptguard=PTGuardConfig(correction_enabled=True),
+        mac_algorithm="blake2",
+        seed=3,
+    )
+    process = workload_process(system, "xalancbmk", 3)
+    lines = [
+        (address, pattern.strip_mac(system.memory.read_line(address)))
+        for address in walked_pte_lines(system, process)
+    ]
+    return lines + [(0x7F000, bytes(64)), (0x7F040, bytes(64))]
+
+
+def _faulty_lines(guard, logical_lines, seed):
+    """Seeded faulty stored lines: 6 walked lines and each all-zero line,
+    at each of p_flip 1/512 and 1/128."""
+    rng = random.Random(seed)
+    walked, zero = logical_lines[:-2], logical_lines[-2:]
+    picks = [(p_flip, rng.choice(walked)) for p_flip in (1 / 512, 1 / 128)
+             for _ in range(6)]
+    picks += [(p_flip, line) for line in zero for p_flip in (1 / 512, 1 / 128)]
+    faults = []
+    for p_flip, (address, logical) in picks:
+        stored = guard.process_write(address, logical).stored_line
+        faulty = stored
+        while faulty == stored:
+            faulty, _ = inject_uniform_flips(stored, p_flip, rng)
+        faults.append((address, faulty))
+    return faults
+
+
+class TestBatchedCorrection:
+    """The stage-batched search gives what the guess-by-guess loop gives:
+    the same results, ``computations`` and guard stats, and the same
+    differential-oracle samples."""
+
+    @pytest.mark.parametrize("oracle_period", [None, 1, 7])
+    @pytest.mark.parametrize("identifier", [False, True])
+    @pytest.mark.parametrize("soft_match_k", [0, 4])
+    @pytest.mark.parametrize("mac", ["qarma", "blake2"])
+    def test_matches_guess_by_guess_reference(
+        self, walked_logical_lines, mac, soft_match_k, identifier, oracle_period
+    ):
+        config = PTGuardConfig(
+            correction_enabled=True,
+            soft_match_k=soft_match_k,
+            identifier_enabled=identifier,
+        )
+        # Same seed, same key: a third guard writes the stored lines so
+        # that neither guard under test counts those MACs.
+        writer, batched, reference = (
+            PTGuard(config, mac_algorithm=mac, seed=11) for _ in range(3))
+        assert (mac == "qarma") == hasattr(batched.engine.line_mac, "compute_batch")
+        reference.correction.correct = functools.partial(
+            _reference_correct, reference.correction)
+        if oracle_period is not None:
+            for guard in (batched, reference):
+                # An independently built table-path MAC: cheap enough to
+                # sample every computation, and counted all the same.
+                oracle = make_line_mac(mac, guard._secret, config.mac_bits)
+                guard.engine.attach_oracle(oracle.compute, oracle_period)
+        faults = _faulty_lines(writer, walked_logical_lines, seed=4)
+        searched = 0
+        for address, faulty in faults:
+            got = batched.process_read(address, faulty, is_pte=True)
+            want = reference.process_read(address, faulty, is_pte=True)
+            assert got == want, f"line {address:#x}"
+            searched += got.correction is not None
+        # Lines whose flips all miss the protected bits skip the search.
+        assert searched >= len(faults) - 2
+        assert batched.engine.computations == reference.engine.computations
+        assert batched.stats.as_dict() == reference.stats.as_dict()
+        assert batched.engine.stats.as_dict() == reference.engine.stats.as_dict()
+        if oracle_period is not None:
+            assert batched.engine.stats.get("oracle_checks") > 0
 
 
 # -- vectorized trace replay --------------------------------------------------

@@ -1,13 +1,15 @@
 """Edge-case tests for core/correction.py feeding the fault taxonomy:
 all-zero lines, the exactly-4-set-bits boundary of the reset-zero-PTE
-step, and double-bit faults that must land in detected+uncorrectable."""
+step, double-bit faults that must land in detected+uncorrectable, MACs
+narrower than the 96-bit field, and the known QARMA chunk-swap
+mis-correction."""
 
 import pytest
 
 from repro.core import pattern
 from repro.core.correction import CorrectionEngine
 from repro.core.engine import MACEngine
-from repro.crypto.mac import Blake2LineMAC
+from repro.crypto.mac import Blake2LineMAC, QarmaLineMAC
 from repro.mmu.pte import make_x86_pte
 
 ADDRESS = 0x40000
@@ -131,3 +133,52 @@ class TestDoubleBitUncorrectable:
         assert cell.outcome("detected_uncorrectable") >= 1
         assert cell.outcome("silent_corruption") == 0
         assert cell.detected == cell.trials
+
+
+class TestNarrowMAC:
+    """With ``mac_bits < 96`` the stored field's upper bits are unused:
+    the guard masks them off before checking, and so must correction."""
+
+    @pytest.mark.parametrize("soft_match_k", [0, 4])
+    def test_flips_in_unused_mac_bits_do_not_count(self, soft_match_k):
+        engine = MACEngine(Blake2LineMAC(bytes(range(32)), mac_bits=64),
+                           max_phys_bits=40, soft_match_k=soft_match_k)
+        faulty_line, logical = stored(
+            engine, [make_x86_pte(0x2E5F3 + 37 * i + 11, user=True)
+                     for i in range(8)]
+        )
+        damaged = bytearray(faulty_line)
+        damaged[1 * 8 + 2] ^= 0x10  # one PFN bit of PTE 1
+        unused = 0b111 << 90  # MAC-field bits 90-92, beyond a 64-bit tag
+        damaged = pattern.embed_mac(
+            bytes(damaged), pattern.extract_mac(bytes(damaged)) ^ unused)
+        result = correct(engine, damaged)
+        assert result.corrected_line is not None
+        assert result.winning_step == "flip_and_check"
+        assert result.mac_distance == 0
+        assert pattern.mask_unprotected(result.corrected_line, 40) == \
+            pattern.mask_unprotected(logical, 40)
+
+
+class TestQarmaChunkSwap:
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: QarmaLineMAC XORs chunk i with address + 16*i, so "
+        "two chunks of equal protected content whose chunk addresses "
+        "differ in bit 4 swap cipher inputs when bit 4 flips in both; "
+        "flip-and-check tries chunk 0's bits first and accepts the swap. "
+        "A fix must change every QARMA tag or the first-match rule."))
+    def test_equal_chunks_with_bit4_flip_not_miscorrected(self):
+        engine = MACEngine(QarmaLineMAC(bytes(range(32))), max_phys_bits=40,
+                           soft_match_k=4)
+        assert ADDRESS & 16 == 0  # chunk 0 and 1 addresses differ in bit 4
+        # Chunks 0 (PTEs 0-1) and 1 (PTEs 2-3) are both empty.
+        faulty_line, logical = stored(
+            engine, [0] * 4 + [make_x86_pte(0x2E5F3 + i, user=True)
+                               for i in range(4)]
+        )
+        damaged = bytearray(faulty_line)
+        damaged[2 * 8] ^= 1 << 4  # bit 4 of PTE 2
+        result = correct(engine, bytes(damaged))
+        assert result.corrected_line is not None
+        assert pattern.mask_unprotected(result.corrected_line, 40) == \
+            pattern.mask_unprotected(logical, 40)
